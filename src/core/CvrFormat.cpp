@@ -376,6 +376,9 @@ bool CvrMatrix::isValid() const {
           return false; // Steal slot without a tail row.
       } else if (Rec.Wb < 0 || Rec.Wb >= NumRows) {
         return false;
+      } else if ((Rec.Shared != 0) !=
+                 (Rec.Wb == C.FirstRow || Rec.Wb == C.LastRow)) {
+        return false; // Kernels merge exactly the boundary rows' partials.
       }
     }
     for (std::int64_t I = C.ElemBase, E = C.ElemBase + C.NumSteps * Lanes;

@@ -128,7 +128,10 @@ struct CvrRecord {
   std::int64_t Pos;  ///< Element position within the chunk stream.
   std::int32_t Wb;   ///< Feed: destination row. Steal: t_result slot.
   std::uint8_t Steal;  ///< 1 for steal-phase records.
-  std::uint8_t Shared; ///< 1 if the destination row needs atomic adds.
+  /// 1 if the destination row is the chunk's FirstRow or LastRow, which a
+  /// neighbouring chunk also writes: its partial goes to the chunk's
+  /// boundary slot, merged into y in chunk order after the join.
+  std::uint8_t Shared;
 };
 
 /// One column band of a blocked conversion: the chunks in

@@ -8,8 +8,11 @@
 // 4-wide, or masked tail) and on accumulate mode, mirroring the SpMV
 // kernel's structure: the per-step stream consumption is identical, but
 // the per-lane accumulator is a panel-row vector instead of a scalar, and
-// every record/tail write-back moves a whole register of columns. Records
-// are rare relative to steps, so their shared-row atomics stay scalar.
+// every record/tail write-back moves a whole register of columns. Rows
+// split across chunks take per-chunk partials merged in chunk order, as in
+// SpMV: each chunk sums its two boundary panel rows in registers, stores
+// them once into its own slot, and a sequential pass after the join adds
+// the slots into Y in chunk index order, so Y is bit-identical run to run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +23,7 @@
 #include "obs/Trace.h"
 #include "simd/Simd.h"
 #include "support/Annotations.h"
+#include "support/ChunkSlots.h"
 #include "support/ParallelFor.h"
 
 #include <algorithm>
@@ -79,6 +83,44 @@ struct PanelTail {
   void spill(Vec V, double *Buf8) const { V.toArray(Buf8); }
 };
 
+/// A chunk's partial panel rows for its boundary rows, C.FirstRow and
+/// C.LastRow (the same row when it spans the whole chunk): at most 8
+/// columns each per pass. Each slot owns its two cache lines, and a chunk
+/// writes it once, at its end. Trivial on purpose: ChunkSlots leaves the
+/// slot array uninitialized.
+struct PanelBoundary {
+  alignas(64) double First[8];
+  double Last[8];
+};
+
+/// Stack slots per pass before ChunkSlots spills to the heap (32 KiB of
+/// PanelBoundary).
+constexpr int MaxStackChunks = 256;
+using PanelBoundarySlots = ChunkSlots<PanelBoundary, MaxStackChunks>;
+
+/// Adds the boundary panel rows of chunks [Begin, End) into the pass's Bw
+/// columns of Y in chunk index order (Slots[I] belongs to chunk
+/// Begin + I). Runs after the join.
+void mergeBoundaryPanels(const CvrMatrix &M, int Begin, int End,
+                         const PanelBoundary *Slots, double *Y,
+                         std::size_t LdY, int Bw) {
+  const std::vector<CvrChunk> &Chunks = M.chunks();
+  for (int I = Begin; I < End; ++I) {
+    const CvrChunk &C = Chunks[I];
+    if (C.FirstRow < 0)
+      continue;
+    const PanelBoundary &S = Slots[I - Begin];
+    double *YFirst = Y + static_cast<std::size_t>(C.FirstRow) * LdY;
+    for (int J = 0; J < Bw; ++J)
+      YFirst[J] += S.First[J];
+    if (C.LastRow == C.FirstRow)
+      continue;
+    double *YLast = Y + static_cast<std::size_t>(C.LastRow) * LdY;
+    for (int J = 0; J < Bw; ++J)
+      YLast[J] += S.Last[J];
+  }
+}
+
 /// One chunk of the register-blocked SpMM kernel: lane k accumulates a
 /// whole panel row in a vector register, fed by one contiguous load of
 /// X[Cols[step*8+k] * LdX .. +width) per element — no gathers. Structure
@@ -87,7 +129,8 @@ struct PanelTail {
 template <class Panel, bool Accumulate>
 CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
                           const double *X, std::size_t LdX, double *Y,
-                          std::size_t LdY, Panel P, int PfDist) {
+                          std::size_t LdY, Panel P, int PfDist,
+                          PanelBoundary &Out) {
   constexpr int W = 8;
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -100,19 +143,19 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
     VOut[K] = P.zero();
     TRes[K] = P.zero();
   }
+  typename Panel::Vec BFirst = P.zero(), BLast = P.zero();
 
   // Finishes one row's panel block: exclusive rows store (or add, in
-  // accumulate mode) a whole register; chunk-boundary rows spill and add
-  // element-wise atomically because the neighbouring chunk writes them too.
+  // accumulate mode) a whole register; chunk-boundary rows add into the
+  // chunk's boundary registers because the neighbouring chunk writes them
+  // too.
   auto Finish = [&](std::int32_t Row, typename Panel::Vec V, bool Shared) {
     double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
     if (Shared) {
-      alignas(64) double Buf[W];
-      P.spill(V, Buf);
-      for (int J = 0; J < P.width(); ++J) {
-#pragma omp atomic
-        YRow[J] += Buf[J];
-      }
+      if (Row == C.FirstRow)
+        BFirst = BFirst.add(V);
+      else
+        BLast = BLast.add(V);
     } else if (Accumulate) {
       P.store(P.load(YRow).add(V), YRow);
     } else {
@@ -165,6 +208,8 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
       continue;
     Finish(Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
   }
+  P.spill(BFirst, Out.First);
+  P.spill(BLast, Out.Last);
 }
 
 /// Generic any-lane-width SpMM chunk (lane-count ablation / forced-generic
@@ -172,7 +217,7 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
 void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
                          const double *X, std::size_t LdX, double *Y,
                          std::size_t LdY, int Bw, int PfDist,
-                         bool Accumulate) {
+                         bool Accumulate, PanelBoundary &Out) {
   const int W = M.lanes();
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -183,14 +228,14 @@ void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
   // Lane k's panel block lives at [k * Bw, (k + 1) * Bw).
   std::vector<double> VOut(static_cast<std::size_t>(W) * Bw, 0.0);
   std::vector<double> TRes(static_cast<std::size_t>(W) * Bw, 0.0);
+  PanelBoundary BP{};
 
   auto Finish = [&](std::int32_t Row, const double *V, bool Shared) {
     double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
     if (Shared) {
-      for (int J = 0; J < Bw; ++J) {
-#pragma omp atomic
-        YRow[J] += V[J];
-      }
+      double *B = Row == C.FirstRow ? BP.First : BP.Last;
+      for (int J = 0; J < Bw; ++J)
+        B[J] += V[J];
     } else if (Accumulate) {
       for (int J = 0; J < Bw; ++J)
         YRow[J] += V[J];
@@ -241,19 +286,20 @@ void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
     Finish(Row, TRes.data() + static_cast<std::size_t>(K) * Bw,
            Row == C.FirstRow || Row == C.LastRow);
   }
+  Out = BP;
 }
 
 /// Fused twin of runChunkSpmm (no accumulate mode: blocked matrices
 /// compose). Exclusive finalize sites spill the register block, apply the
 /// per-column epilogue on the spilled row, and store the (possibly
-/// transformed) values; shared rows accumulate raw partials for the
-/// sequential cleanup pass.
+/// transformed) values; shared rows collect raw partials for the ordered
+/// merge, and the sequential cleanup pass applies their epilogue.
 template <class Panel>
 CVR_HOT void runChunkSpmmFused(const CvrMatrix &M, const CvrChunk &C,
                                const double *X, std::size_t LdX, double *Y,
                                std::size_t LdY, Panel P, int PfDist,
                                const FusedBatchEpilogue &E, int J0,
-                               BatchEpilogueAccum &Acc) {
+                               BatchEpilogueAccum &Acc, PanelBoundary &Out) {
   constexpr int W = 8;
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -266,21 +312,22 @@ CVR_HOT void runChunkSpmmFused(const CvrMatrix &M, const CvrChunk &C,
     VOut[K] = P.zero();
     TRes[K] = P.zero();
   }
+  typename Panel::Vec BFirst = P.zero(), BLast = P.zero();
 
   auto Finish = [&](std::int32_t Row, typename Panel::Vec V, bool Shared) {
+    if (Shared) {
+      if (Row == C.FirstRow)
+        BFirst = BFirst.add(V);
+      else
+        BLast = BLast.add(V);
+      return;
+    }
     double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
     alignas(64) double Buf[W];
     P.spill(V, Buf);
-    if (Shared) {
-      for (int J = 0; J < P.width(); ++J) {
-#pragma omp atomic
-        YRow[J] += Buf[J];
-      }
-    } else {
-      batchRowApply(E, Row, J0, P.width(), Buf, Acc);
-      for (int J = 0; J < P.width(); ++J)
-        YRow[J] = Buf[J];
-    }
+    batchRowApply(E, Row, J0, P.width(), Buf, Acc);
+    for (int J = 0; J < P.width(); ++J)
+      YRow[J] = Buf[J];
   };
 
   auto ApplyRecords = [&](std::int64_t Limit) {
@@ -324,6 +371,8 @@ CVR_HOT void runChunkSpmmFused(const CvrMatrix &M, const CvrChunk &C,
       continue;
     Finish(Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
   }
+  P.spill(BFirst, Out.First);
+  P.spill(BLast, Out.Last);
 }
 
 /// Zeroes the Bw-wide slice of the rows the chunk sweep never plain-stores
@@ -334,7 +383,8 @@ void zeroRowsSlice(const CvrMatrix &M, double *Y, std::size_t LdY, int Bw) {
 }
 
 /// Runs chunks [Begin, End) of one pass across M.runThreads() threads,
-/// dynamic schedule under over-decomposition (same policy as SpMV).
+/// dynamic schedule under over-decomposition (same policy as SpMV), then
+/// merges their boundary panel rows in chunk order.
 template <bool Accumulate>
 void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
                        const double *X, std::size_t LdX, double *Y,
@@ -343,27 +393,30 @@ void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
   int N = End - Begin;
   int Threads = std::min(M.runThreads(), N);
   bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
+  PanelBoundarySlots Slots(N);
 
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
     if (!UseAvx) {
-      runChunkSpmmGeneric(M, C, X, LdX, Y, LdY, Bw, PfDist, Accumulate);
+      runChunkSpmmGeneric(M, C, X, LdX, Y, LdY, Bw, PfDist, Accumulate,
+                          Slots[T]);
       return;
     }
     if (Bw == 8)
       runChunkSpmm<Panel8, Accumulate>(M, C, X, LdX, Y, LdY, Panel8{},
-                                       PfDist);
+                                       PfDist, Slots[T]);
     else if (Bw == 4)
       runChunkSpmm<Panel4, Accumulate>(M, C, X, LdX, Y, LdY, Panel4{},
-                                       PfDist);
+                                       PfDist, Slots[T]);
     else
       runChunkSpmm<PanelTail, Accumulate>(M, C, X, LdX, Y, LdY,
-                                          PanelTail(Bw), PfDist);
+                                          PanelTail(Bw), PfDist, Slots[T]);
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
   else
     ompParallelFor(N, Threads, Body);
+  mergeBoundaryPanels(M, Begin, End, Slots.data(), Y, LdY, Bw);
 }
 
 /// One pass over the whole matrix covering Bw panel columns starting at
@@ -527,17 +580,10 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
   const int N = static_cast<int>(Chunks.size());
   const int Threads = std::min(M.runThreads(), std::max(N, 1));
 
-  // Per-chunk partial accumulators, merged in chunk index order per pass.
-  // Stack storage keeps batched solver iterations allocation-free; heavy
-  // over-decomposition spills to the heap once per call.
-  constexpr int MaxStackChunks = 256;
-  BatchEpilogueAccum StackAccs[MaxStackChunks];
-  std::vector<BatchEpilogueAccum> HeapAccs;
-  BatchEpilogueAccum *Accs = StackAccs;
-  if (N > MaxStackChunks) {
-    HeapAccs.resize(static_cast<std::size_t>(N));
-    Accs = HeapAccs.data();
-  }
+  // Per-chunk partial accumulators and boundary panel rows, merged in
+  // chunk index order per pass.
+  ChunkSlots<BatchEpilogueAccum, MaxStackChunks> Accs(N);
+  PanelBoundarySlots Bounds(N);
 
   int Passes = 0;
   for (int J0 = 0; J0 < NumVectors;) {
@@ -551,18 +597,19 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
       const CvrChunk &C = Chunks[T];
       if (Bw == 8)
         runChunkSpmmFused<Panel8>(M, C, Xp, LdX, Yp, LdY, Panel8{}, Pf, E,
-                                  J0, Accs[T]);
+                                  J0, Accs[T], Bounds[T]);
       else if (Bw == 4)
         runChunkSpmmFused<Panel4>(M, C, Xp, LdX, Yp, LdY, Panel4{}, Pf, E,
-                                  J0, Accs[T]);
+                                  J0, Accs[T], Bounds[T]);
       else
         runChunkSpmmFused<PanelTail>(M, C, Xp, LdX, Yp, LdY, PanelTail(Bw),
-                                     Pf, E, J0, Accs[T]);
+                                     Pf, E, J0, Accs[T], Bounds[T]);
     };
     if (N > Threads)
       ompParallelForDynamic(N, Threads, Body);
     else
       ompParallelFor(N, Threads, Body);
+    mergeBoundaryPanels(M, 0, N, Bounds.data(), Yp, LdY, Bw);
 
     BatchEpilogueAccum Total;
     for (int T = 0; T < N; ++T)

@@ -12,6 +12,13 @@
 // schedule. All variants compute the same y; the autotuner in src/engine
 // picks among them per matrix.
 //
+// Rows split across chunks take per-chunk partials merged in chunk order:
+// each chunk sums its contributions to its two boundary rows in locals,
+// stores them once into its own slot, and a sequential pass after the join
+// adds the slots into y in chunk index order. For a fixed plan and thread
+// count y is therefore bit-identical run to run, however the dynamic
+// schedule ordered the chunks.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/CvrSpmv.h"
@@ -20,6 +27,7 @@
 #include "obs/Trace.h"
 #include "simd/Simd.h"
 #include "support/Annotations.h"
+#include "support/ChunkSlots.h"
 #include "support/ParallelFor.h"
 
 #include <algorithm>
@@ -36,35 +44,74 @@ namespace cvr {
 
 namespace {
 
+/// A chunk's partial sums for its boundary rows, C.FirstRow and C.LastRow:
+/// the only rows a neighbouring chunk also writes (one row when it spans
+/// the whole chunk). A chunk kernel adds into a local copy in the order it
+/// produces the partials and stores it into the chunk's slot once, at the
+/// end, so the hot loop writes no shared cache line. Trivial on purpose:
+/// ChunkSlots leaves the slot array uninitialized.
+struct BoundaryPartials {
+  std::int32_t FirstRow;
+  double First;
+  double Last;
+
+  static BoundaryPartials of(const CvrChunk &C) {
+    return {C.FirstRow, 0.0, 0.0};
+  }
+  void add(std::int32_t Row, double V) {
+    (Row == FirstRow ? First : Last) += V;
+  }
+};
+
+/// Stack slots per parallel pass before ChunkSlots spills to the heap.
+constexpr int MaxStackChunks = 512;
+using BoundarySlots = ChunkSlots<BoundaryPartials, MaxStackChunks>;
+
+/// Adds the boundary partials of chunks [Begin, End) into y in chunk index
+/// order (Slots[I] belongs to chunk Begin + I). Runs after the join, so the
+/// sum a split row receives does not depend on the schedule.
+void mergeBoundaryRows(const CvrMatrix &M, int Begin, int End,
+                       const BoundaryPartials *Slots, double *Y) {
+  const std::vector<CvrChunk> &Chunks = M.chunks();
+  for (int I = Begin; I < End; ++I) {
+    const CvrChunk &C = Chunks[I];
+    if (C.FirstRow < 0)
+      continue;
+    const BoundaryPartials &P = Slots[I - Begin];
+    Y[C.FirstRow] += P.First;
+    if (C.LastRow != C.FirstRow)
+      Y[C.LastRow] += P.Last;
+  }
+}
+
 /// Scatters a finished lane value to y (feed records and tail flushes).
-/// Chunk-boundary rows are accumulated atomically because the neighbouring
-/// chunk contributes to them too; every other row has exactly one writer
-/// within a band, so a plain store (or plain add, in accumulate mode —
-/// bands run sequentially) suffices.
+/// Chunk-boundary rows go to the chunk's BoundaryPartials, because the
+/// neighbouring chunk contributes to them too; every other row has exactly
+/// one writer within a band, so a plain store (or plain add, in accumulate
+/// mode — bands run sequentially) suffices.
 template <bool Accumulate>
 CVR_HOT inline void writeBack(double *Y, std::int32_t Row, double V,
-                              bool Shared) {
-  if (Shared) {
-#pragma omp atomic
+                              bool Shared, BoundaryPartials &BP) {
+  if (Shared)
+    BP.add(Row, V);
+  else if (Accumulate)
     Y[Row] += V;
-  } else if (Accumulate) {
-    Y[Row] += V;
-  } else {
+  else
     Y[Row] = V;
-  }
 }
 
 /// Applies every record with Pos < Limit: feed records scatter the lane's
 /// finished dot product straight into y (one masked scatter for the common
 /// exclusive-row case; accumulate mode turns it into gather+add+scatter),
-/// steal records accumulate into the chunk's t_result slots, and the
-/// applied lanes are zeroed. Returns the updated v_out.
+/// boundary-row feeds add into \p BP, steal records accumulate into the
+/// chunk's t_result slots, and the applied lanes are zeroed. Returns the
+/// updated v_out.
 template <bool Accumulate>
 CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
                                         const CvrRecord *Recs,
                                 std::int64_t &RecIdx, std::int64_t RecEnd,
                                 std::int64_t Limit, double *Y,
-                                double *TResult) {
+                                double *TResult, BoundaryPartials &BP) {
 #if CVR_SIMD_AVX512
   alignas(32) std::int32_t WbBuf[8];
   __mmask8 FeedMask = 0, ClearMask = 0;
@@ -78,12 +125,10 @@ CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
     } else {
       // Single-lane extraction via a masked horizontal add.
       double V = _mm512_mask_reduce_add_pd(Bit, VOut.Reg);
-      if (R.Steal) {
+      if (R.Steal)
         TResult[R.Wb] += V;
-      } else {
-#pragma omp atomic
-        Y[R.Wb] += V;
-      }
+      else
+        BP.add(R.Wb, V);
     }
     ClearMask |= Bit;
     ++RecIdx;
@@ -113,7 +158,7 @@ CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
     if (R.Steal)
       TResult[R.Wb] += Buf[Off];
     else
-      writeBack<Accumulate>(Y, R.Wb, Buf[Off], R.Shared);
+      writeBack<Accumulate>(Y, R.Wb, Buf[Off], R.Shared, BP);
     Buf[Off] = 0.0;
     ++RecIdx;
   } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
@@ -135,7 +180,7 @@ CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
 template <int PfDist, bool Accumulate, bool NarrowIdx, bool NarrowVal>
 CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
                          const double *X,
-                 double *Y, std::int32_t ColBase) {
+                 double *Y, std::int32_t ColBase, BoundaryPartials &Out) {
   static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
                                  "column loads, so the distance stays even");
   constexpr int W = 8;
@@ -149,6 +194,7 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
   const std::int64_t RecEnd = C.RecEnd;
 
   alignas(64) double TResult[W] = {0};
+  BoundaryPartials BP = BoundaryPartials::of(C);
   simd::VecD8 VOut = simd::VecD8::zero();
   simd::VecI16 Cols16{};
 
@@ -157,7 +203,7 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
     // is complete just before the step's elements are consumed).
     if (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
       VOut = applyRecords<Accumulate>(VOut, Recs, RecIdx, RecEnd,
-                                      (I + 1) * W, Y, TResult);
+                                      (I + 1) * W, Y, TResult, BP);
 
     if constexpr (PfDist > 0) {
       if ((I & 1) == 0 && I + PfDist + 1 < C.NumSteps) {
@@ -205,7 +251,7 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
   if (RecIdx < RecEnd)
     applyRecords<Accumulate>(VOut, Recs, RecIdx, RecEnd,
                              std::numeric_limits<std::int64_t>::max(), Y,
-                             TResult);
+                             TResult, BP);
 
   // Tail flush: t_result slots back to their rows (Algorithm 4 l.31-33).
   const std::int32_t *Tails = M.tails() + C.TailBase;
@@ -214,8 +260,9 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
     if (Row < 0)
       continue;
     bool Shared = Row == C.FirstRow || Row == C.LastRow;
-    writeBack<Accumulate>(Y, Row, TResult[K], Shared);
+    writeBack<Accumulate>(Y, Row, TResult[K], Shared, BP);
   }
+  Out = BP;
 }
 
 /// Generic any-width kernel (lane-count ablation / non-AVX hosts).
@@ -224,7 +271,8 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
 /// streams decode per element — scalar widening of uint16 deltas (plus
 /// the chunk's band base) and fp32 values, with fp64 accumulation.
 void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                     double *Y, int PfDist, bool Accumulate) {
+                     double *Y, int PfDist, bool Accumulate,
+                     BoundaryPartials &Out) {
   const int W = M.lanes();
   const std::int64_t EB = C.ElemBase;
   const std::int32_t Base = M.chunkColBase(
@@ -235,12 +283,13 @@ void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
 
   std::vector<double> TResult(W, 0.0);
   std::vector<double> VOut(W, 0.0);
+  BoundaryPartials BP = BoundaryPartials::of(C);
 
   auto Store = [&](std::int32_t Row, double V, bool Shared) {
     if (Accumulate)
-      writeBack<true>(Y, Row, V, Shared);
+      writeBack<true>(Y, Row, V, Shared, BP);
     else
-      writeBack<false>(Y, Row, V, Shared);
+      writeBack<false>(Y, Row, V, Shared, BP);
   };
 
   for (std::int64_t I = 0; I < C.NumSteps; ++I) {
@@ -282,22 +331,24 @@ void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
     bool Shared = Row == C.FirstRow || Row == C.LastRow;
     Store(Row, TResult[K], Shared);
   }
+  Out = BP;
 }
 
 /// Fused-path record application. Exclusive feed records apply the epilogue
 /// to the lane's finished dot product and store the result; shared feeds
-/// accumulate the raw partial atomically (the epilogue for boundary rows
-/// runs in cvrSpmvFused's sequential cleanup pass); steal records spill to
-/// t_result as usual. Scalar spill instead of the masked-scatter batching:
-/// the epilogue is a per-row scalar op anyway, and records are rare
-/// relative to steps.
+/// add the raw partial into \p BP (the epilogue for boundary rows runs in
+/// cvrSpmvFused's sequential cleanup pass, after the ordered merge); steal
+/// records spill to t_result as usual. Scalar spill instead of the
+/// masked-scatter batching: the epilogue is a per-row scalar op anyway, and
+/// records are rare relative to steps.
 CVR_HOT inline simd::VecD8 applyRecordsFused(simd::VecD8 VOut,
                                              const CvrRecord *Recs,
                                      std::int64_t &RecIdx,
                                      std::int64_t RecEnd, std::int64_t Limit,
                                      double *Y, double *TResult,
                                      const FusedEpilogue &E, const double *X,
-                                     EpilogueAccum &Acc) {
+                                     EpilogueAccum &Acc,
+                                     BoundaryPartials &BP) {
   alignas(64) double Buf[8];
   VOut.toArray(Buf);
   do {
@@ -306,8 +357,7 @@ CVR_HOT inline simd::VecD8 applyRecordsFused(simd::VecD8 VOut,
     if (R.Steal) {
       TResult[R.Wb] += Buf[Off];
     } else if (R.Shared) {
-#pragma omp atomic
-      Y[R.Wb] += Buf[Off];
+      BP.add(R.Wb, Buf[Off]);
     } else {
       Y[R.Wb] = fusedRowApply(E, X, R.Wb, Buf[Off], Acc);
     }
@@ -325,7 +375,7 @@ template <int PfDist, bool NarrowIdx, bool NarrowVal>
 CVR_HOT void runChunkAvxFused(const CvrMatrix &M, const CvrChunk &C,
                               const double *X,
                       double *Y, const FusedEpilogue &E, EpilogueAccum &Acc,
-                      std::int32_t ColBase) {
+                      std::int32_t ColBase, BoundaryPartials &Out) {
   static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
                                  "column loads, so the distance stays even");
   constexpr int W = 8;
@@ -339,13 +389,14 @@ CVR_HOT void runChunkAvxFused(const CvrMatrix &M, const CvrChunk &C,
   const std::int64_t RecEnd = C.RecEnd;
 
   alignas(64) double TResult[W] = {0};
+  BoundaryPartials BP = BoundaryPartials::of(C);
   simd::VecD8 VOut = simd::VecD8::zero();
   simd::VecI16 Cols16{};
 
   for (std::int64_t I = 0; I < C.NumSteps; ++I) {
     if (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
       VOut = applyRecordsFused(VOut, Recs, RecIdx, RecEnd, (I + 1) * W, Y,
-                               TResult, E, X, Acc);
+                               TResult, E, X, Acc, BP);
 
     if constexpr (PfDist > 0) {
       if ((I & 1) == 0 && I + PfDist + 1 < C.NumSteps) {
@@ -387,27 +438,27 @@ CVR_HOT void runChunkAvxFused(const CvrMatrix &M, const CvrChunk &C,
   if (RecIdx < RecEnd)
     applyRecordsFused(VOut, Recs, RecIdx, RecEnd,
                       std::numeric_limits<std::int64_t>::max(), Y, TResult,
-                      E, X, Acc);
+                      E, X, Acc, BP);
 
   const std::int32_t *Tails = M.tails() + C.TailBase;
   for (int K = 0; K < W; ++K) {
     std::int32_t Row = Tails[K];
     if (Row < 0)
       continue;
-    if (Row == C.FirstRow || Row == C.LastRow) {
-#pragma omp atomic
-      Y[Row] += TResult[K];
-    } else {
+    if (Row == C.FirstRow || Row == C.LastRow)
+      BP.add(Row, TResult[K]);
+    else
       Y[Row] = fusedRowApply(E, X, Row, TResult[K], Acc);
-    }
   }
+  Out = BP;
 }
 
 /// Fused twin of runChunkGeneric (any lane width, runtime prefetch, and
 /// runtime stream-kind decode like runChunkGeneric).
 void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
                           const double *X, double *Y, int PfDist,
-                          const FusedEpilogue &E, EpilogueAccum &Acc) {
+                          const FusedEpilogue &E, EpilogueAccum &Acc,
+                          BoundaryPartials &Out) {
   const int W = M.lanes();
   const std::int64_t EB = C.ElemBase;
   const std::int32_t Base = M.chunkColBase(
@@ -418,14 +469,13 @@ void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
 
   std::vector<double> TResult(W, 0.0);
   std::vector<double> VOut(W, 0.0);
+  BoundaryPartials BP = BoundaryPartials::of(C);
 
   auto Finish = [&](std::int32_t Row, double V, bool Shared) {
-    if (Shared) {
-#pragma omp atomic
-      Y[Row] += V;
-    } else {
+    if (Shared)
+      BP.add(Row, V);
+    else
       Y[Row] = fusedRowApply(E, X, Row, V, Acc);
-    }
   };
 
   for (std::int64_t I = 0; I < C.NumSteps; ++I) {
@@ -466,6 +516,7 @@ void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
       continue;
     Finish(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
   }
+  Out = BP;
 }
 
 /// Band base of \p C, for the narrow-index kernels (0 otherwise).
@@ -477,19 +528,20 @@ std::int32_t chunkBase(const CvrMatrix &M, const CvrChunk &C) {
 template <bool NarrowIdx, bool NarrowVal>
 void runChunkAvxFusedPf(const CvrMatrix &M, const CvrChunk &C,
                         const double *X, double *Y, const FusedEpilogue &E,
-                        EpilogueAccum &Acc, int PfDist, std::int32_t Base) {
+                        EpilogueAccum &Acc, int PfDist, std::int32_t Base,
+                        BoundaryPartials &Out) {
   switch (PfDist) {
   case 2:
-    runChunkAvxFused<2, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
+    runChunkAvxFused<2, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
     break;
   case 4:
-    runChunkAvxFused<4, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
+    runChunkAvxFused<4, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
     break;
   case 8:
-    runChunkAvxFused<8, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
+    runChunkAvxFused<8, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
     break;
   default:
-    runChunkAvxFused<0, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
+    runChunkAvxFused<0, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
     break;
   }
 }
@@ -497,9 +549,9 @@ void runChunkAvxFusedPf(const CvrMatrix &M, const CvrChunk &C,
 /// Dispatches one chunk of the fused path.
 void runChunkFused(const CvrMatrix &M, const CvrChunk &C, const double *X,
                    double *Y, const FusedEpilogue &E, EpilogueAccum &Acc,
-                   int PfDist, bool UseAvx) {
+                   int PfDist, bool UseAvx, BoundaryPartials &Out) {
   if (!UseAvx) {
-    runChunkGenericFused(M, C, X, Y, PfDist, E, Acc);
+    runChunkGenericFused(M, C, X, Y, PfDist, E, Acc, Out);
     return;
   }
   const std::int32_t Base = chunkBase(M, C);
@@ -507,14 +559,15 @@ void runChunkFused(const CvrMatrix &M, const CvrChunk &C, const double *X,
   const bool NV = M.valueKind() == ValueKind::F32x64;
   if (NI) {
     if (NV)
-      runChunkAvxFusedPf<true, true>(M, C, X, Y, E, Acc, PfDist, Base);
+      runChunkAvxFusedPf<true, true>(M, C, X, Y, E, Acc, PfDist, Base, Out);
     else
-      runChunkAvxFusedPf<true, false>(M, C, X, Y, E, Acc, PfDist, Base);
+      runChunkAvxFusedPf<true, false>(M, C, X, Y, E, Acc, PfDist, Base, Out);
   } else {
     if (NV)
-      runChunkAvxFusedPf<false, true>(M, C, X, Y, E, Acc, PfDist, Base);
+      runChunkAvxFusedPf<false, true>(M, C, X, Y, E, Acc, PfDist, Base, Out);
     else
-      runChunkAvxFusedPf<false, false>(M, C, X, Y, E, Acc, PfDist, Base);
+      runChunkAvxFusedPf<false, false>(M, C, X, Y, E, Acc, PfDist, Base,
+                                       Out);
   }
 }
 
@@ -522,19 +575,20 @@ void runChunkFused(const CvrMatrix &M, const CvrChunk &C, const double *X,
 /// instantiation.
 template <bool Accumulate, bool NarrowIdx, bool NarrowVal>
 void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   double *Y, int PfDist, std::int32_t Base) {
+                   double *Y, int PfDist, std::int32_t Base,
+                   BoundaryPartials &Out) {
   switch (PfDist) {
   case 2:
-    runChunkAvx<2, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
+    runChunkAvx<2, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
     break;
   case 4:
-    runChunkAvx<4, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
+    runChunkAvx<4, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
     break;
   case 8:
-    runChunkAvx<8, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
+    runChunkAvx<8, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
     break;
   default:
-    runChunkAvx<0, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
+    runChunkAvx<0, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
     break;
   }
 }
@@ -543,9 +597,9 @@ void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
 /// distance is snapped to the supported set by cvrSpmv.
 template <bool Accumulate>
 void runChunk(const CvrMatrix &M, const CvrChunk &C, const double *X,
-              double *Y, int PfDist, bool UseAvx) {
+              double *Y, int PfDist, bool UseAvx, BoundaryPartials &Out) {
   if (!UseAvx) {
-    runChunkGeneric(M, C, X, Y, PfDist, Accumulate);
+    runChunkGeneric(M, C, X, Y, PfDist, Accumulate, Out);
     return;
   }
   const std::int32_t Base = chunkBase(M, C);
@@ -553,38 +607,41 @@ void runChunk(const CvrMatrix &M, const CvrChunk &C, const double *X,
   const bool NV = M.valueKind() == ValueKind::F32x64;
   if (NI) {
     if (NV)
-      runChunkAvxPf<Accumulate, true, true>(M, C, X, Y, PfDist, Base);
+      runChunkAvxPf<Accumulate, true, true>(M, C, X, Y, PfDist, Base, Out);
     else
-      runChunkAvxPf<Accumulate, true, false>(M, C, X, Y, PfDist, Base);
+      runChunkAvxPf<Accumulate, true, false>(M, C, X, Y, PfDist, Base, Out);
   } else {
     if (NV)
-      runChunkAvxPf<Accumulate, false, true>(M, C, X, Y, PfDist, Base);
+      runChunkAvxPf<Accumulate, false, true>(M, C, X, Y, PfDist, Base, Out);
     else
-      runChunkAvxPf<Accumulate, false, false>(M, C, X, Y, PfDist, Base);
+      runChunkAvxPf<Accumulate, false, false>(M, C, X, Y, PfDist, Base, Out);
   }
 }
 
-/// Runs the chunks [Begin, End) across M.runThreads() threads. With more
-/// chunks than threads (over-decomposition) the schedule turns dynamic so
-/// a thread that drew a light chunk picks up the next one.
+/// Runs the chunks [Begin, End) across M.runThreads() threads, then merges
+/// their boundary partials in chunk order. With more chunks than threads
+/// (over-decomposition) the schedule turns dynamic so a thread that drew a
+/// light chunk picks up the next one.
 void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
                    double *Y, int PfDist, bool Accumulate) {
   const std::vector<CvrChunk> &Chunks = M.chunks();
   int N = End - Begin;
   int Threads = std::min(M.runThreads(), N);
   bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
+  BoundarySlots Slots(N);
 
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
     if (Accumulate)
-      runChunk<true>(M, C, X, Y, PfDist, UseAvx);
+      runChunk<true>(M, C, X, Y, PfDist, UseAvx, Slots[T]);
     else
-      runChunk<false>(M, C, X, Y, PfDist, UseAvx);
+      runChunk<false>(M, C, X, Y, PfDist, UseAvx, Slots[T]);
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
   else
     ompParallelFor(N, Threads, Body);
+  mergeBoundaryRows(M, Begin, End, Slots.data(), Y);
 }
 
 } // namespace
@@ -675,9 +732,10 @@ void cvrSpmvFused(const CvrMatrix &M, const double *X, double *Y,
   obs::TraceSpan Span("execute/fused-epilogue", "execute");
   recordCvrRunTelemetry(M, /*Fused=*/true, /*CountRun=*/true);
   int PfDist = snapPrefetchDistance(PrefetchDistance);
-  // Boundary rows accumulate raw partials during the chunk sweep; the
-  // cleanup pass below applies the epilogue to them (and to empty rows)
-  // exactly once. zeroRows is precisely that set.
+  // Boundary rows collect raw partials during the chunk sweep and take them
+  // in chunk order after the join; the cleanup pass below then applies the
+  // epilogue to them (and to empty rows) exactly once. zeroRows is
+  // precisely that set.
   for (std::int32_t R : M.zeroRows())
     Y[R] = 0.0;
 
@@ -686,28 +744,21 @@ void cvrSpmvFused(const CvrMatrix &M, const double *X, double *Y,
   int Threads = std::min(M.runThreads(), N);
   bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
 
-  // Per-chunk partial accumulators, merged in chunk index order below so
-  // the reduction is deterministic however the chunks were scheduled.
-  // Stack storage keeps solver iterations allocation-free; matrices split
-  // into more chunks than the cap (heavy over-decomposition) spill to the
-  // heap once per call.
-  constexpr int MaxStackChunks = 512;
-  EpilogueAccum StackAccs[MaxStackChunks];
-  std::vector<EpilogueAccum> HeapAccs;
-  EpilogueAccum *Accs = StackAccs;
-  if (N > MaxStackChunks) {
-    HeapAccs.resize(static_cast<std::size_t>(N));
-    Accs = HeapAccs.data();
-  }
+  // Per-chunk partial accumulators and boundary partials, merged in chunk
+  // index order below so the reduction is deterministic however the
+  // chunks were scheduled.
+  ChunkSlots<EpilogueAccum, MaxStackChunks> Accs(N);
+  BoundarySlots Bounds(N);
 
   auto Body = [&](int T) {
     Accs[T] = EpilogueAccum{};
-    runChunkFused(M, Chunks[T], X, Y, E, Accs[T], PfDist, UseAvx);
+    runChunkFused(M, Chunks[T], X, Y, E, Accs[T], PfDist, UseAvx, Bounds[T]);
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
   else
     ompParallelFor(N, Threads, Body);
+  mergeBoundaryRows(M, 0, N, Bounds.data(), Y);
 
   EpilogueAccum Total;
   for (int T = 0; T < N; ++T)
@@ -786,6 +837,10 @@ bool CvrKernel::traceRun(MemAccessSink &Sink, const double *X,
             : reinterpret_cast<const char *>(M.vals() + EB);
     std::int64_t RecIdx = C.RecBase;
 
+    // A boundary row's partial is traced as the read-modify-write of y
+    // that the kernel's ordered merge performs for it. The serial sweep
+    // adds the partials in chunk order, as the merge does, and a chunk
+    // finishes each row once (cvr.row.finish-once), so y matches run().
     auto Flush = [&](std::int32_t Row, double V, bool Shared) {
       bool ReadsY = Shared || Accumulate;
       if (ReadsY)
@@ -887,8 +942,9 @@ bool CvrKernel::traceRunFused(MemAccessSink &Sink, const double *X,
     std::int64_t RecIdx = C.RecBase;
 
     // Exclusive rows take the epilogue on the register-resident value: one
-    // y store plus the operand traffic. Boundary rows accumulate raw
-    // partials (read-modify-write) and are finished by the cleanup pass.
+    // y store plus the operand traffic. Boundary rows take raw partials in
+    // chunk order (the ordered merge's read-modify-write) and are finished
+    // by the cleanup pass.
     auto Flush = [&](std::int32_t Row, double V, bool Shared) {
       if (Shared) {
         Sink.read(Y + Row, sizeof(double));

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Introspect.h"
 #include "core/Cvr.h"
 
 #include "TestUtil.h"
@@ -12,6 +13,8 @@
 #include "matrix/Reference.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace cvr {
 namespace {
@@ -173,6 +176,22 @@ TEST(CvrFormat, MultiThreadSharedRows) {
     Opts.NumThreads = Threads;
     expectCvrMatchesReference(A, Opts, "shared rows");
   }
+}
+
+TEST(CvrFormat, IsValidRejectsMisflaggedSharedRecord) {
+  // The kernels send exactly the Shared feed records to the chunk's
+  // boundary partials, so a flag that disagrees with the chunk's first and
+  // last row (a corrupt blob) must fail validation.
+  CvrOptions Opts;
+  Opts.NumThreads = 3;
+  CvrMatrix M = CvrMatrix::fromCsr(randomCsr(40, 64, 0.2, 11), Opts);
+  ASSERT_TRUE(M.isValid());
+  std::vector<CvrRecord> &Recs = analysis::Introspect::recs(M);
+  auto Feed = std::find_if(Recs.begin(), Recs.end(),
+                           [](const CvrRecord &R) { return !R.Steal; });
+  ASSERT_NE(Feed, Recs.end());
+  Feed->Shared ^= 1;
+  EXPECT_FALSE(M.isValid());
 }
 
 TEST(CvrFormat, MoreThreadsThanNonZeros) {

@@ -91,7 +91,7 @@ TEST_P(CvrFuzz, RepeatedRunsAreIdempotent) {
   std::vector<double> X =
       randomVector(static_cast<std::size_t>(A.numCols()), Seed);
   CvrOptions Opts;
-  Opts.NumThreads = 1; // Atomic-add ordering is the only nondeterminism.
+  Opts.NumThreads = 1; // Scheduling order is CvrDeterminismTest's job.
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
   std::vector<double> Y1(static_cast<std::size_t>(A.numRows()), -1.0);
   std::vector<double> Y2(static_cast<std::size_t>(A.numRows()), 7.0);

@@ -228,7 +228,7 @@ TEST(CvrSpmmFused, DotPerColumn) {
     double YdY = 0.0, ZdY = 0.0;
     for (std::size_t I = 0; I < P.Rows; ++I) {
       double Yi = P.YPlain[I * P.LdY + J];
-      // Shared boundary rows use atomic adds, so two runs may reassociate.
+      // Fused and plain runs may differ by reassociation (DESIGN.md §12).
       EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
       YdY += Yi * Yi;
       ZdY += Z[I * P.K + J] * Yi;
@@ -350,7 +350,7 @@ TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
     double YdY = 0.0;
     for (std::size_t I = 0; I < P.Rows; ++I) {
       double Yi = P.YPlain[I * P.LdY + J];
-      // Shared boundary rows use atomic adds, so two runs may reassociate.
+      // Fused and plain runs may differ by reassociation (DESIGN.md §12).
       EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
       YdY += Yi * Yi;
     }

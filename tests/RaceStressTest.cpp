@@ -9,8 +9,9 @@
 // the partial-sum combination path — the one place the partitioned kernels
 // write y from more than one thread. Each kernel is run many times with the
 // thread count far above the row count so boundary collisions are constant.
-// Under TSan a missing atomic on those accumulations reports as a data
-// race; under the plain build the tests still verify numeric correctness.
+// Under TSan an unsynchronized write on those accumulations (a missing
+// atomic, or a merge that ran before the join) reports as a data race;
+// under the plain build the tests still verify numeric correctness.
 //
 //===----------------------------------------------------------------------===//
 
@@ -99,7 +100,8 @@ TEST(RaceStress, CvrOverDecomposedBlockedSpmv) {
   // over-decomposition multiplies the shared boundary rows, column
   // blocking makes every band accumulate into the same y through the
   // read-modify-write path, and dynamic scheduling lets any thread run any
-  // chunk. Under TSan a missing atomic anywhere in that chain is a race.
+  // chunk. Under TSan an unsynchronized y write anywhere in that chain is
+  // a race.
   CsrMatrix A = longRowMatrix(6, 4096, 512, 321);
   CvrOptions Opts;
   Opts.NumThreads = 8;

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,12 +42,27 @@ namespace {
 // Fixtures
 //===----------------------------------------------------------------------===//
 
+/// A scratch file path unique to the running test and process. ctest runs
+/// each discovered test as its own process, in parallel under -j, so a
+/// shared name would let one process truncate a blob another has mapped
+/// (SIGBUS in the reader).
+std::string scratchPath(const std::string &Stem, const std::string &Ext) {
+  const ::testing::TestInfo *T =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string Dir = ::testing::TempDir();
+  if (!Dir.empty() && Dir.back() != '/')
+    Dir += '/';
+  return Dir + Stem + "_" + T->test_suite_name() + "_" + T->name() + "_" +
+         std::to_string(::getpid()) + Ext;
+}
+
 /// A fleet with one mapped-blob entry ("m") over a deterministic random
-/// matrix, written to (and cleaned from) the working directory.
+/// matrix, written to (and cleaned from) a per-test scratch file.
 class ServeTest : public ::testing::Test {
 protected:
   void SetUp() override {
     failpoint::disarmAll();
+    BlobPath = scratchPath("serve_test_blob", ".cvr");
     A = test::randomCsr(64, 64, 0.15, 41);
     CvrMatrix M = CvrMatrix::fromCsr(A);
     std::ofstream OS(BlobPath, std::ios::binary);
@@ -78,7 +94,7 @@ protected:
     EXPECT_LE(maxRelDiff(Ref, Resp.Y), test::SpmvTolerance);
   }
 
-  std::string BlobPath = "serve_test_blob.cvr";
+  std::string BlobPath;
   CsrMatrix A;
   std::unique_ptr<Fleet> TheFleet;
 };
@@ -415,7 +431,7 @@ TEST_F(ServeTest, SpmmPanelMatchesReferencePerColumn) {
 }
 
 TEST_F(ServeTest, MatrixMarketEntryServesThroughTheLadder) {
-  std::string MtxPath = "serve_test_m.mtx";
+  std::string MtxPath = scratchPath("serve_test_m", ".mtx");
   ASSERT_TRUE(writeMatrixMarketFile(MtxPath, A.toCoo()).ok());
   Status S = TheFleet->addMatrixMarket("ladder", MtxPath);
   (void)std::remove(MtxPath.c_str());
