@@ -127,10 +127,10 @@ void mergeBoundaryPanels(const CvrMatrix &M, int Begin, int End,
 /// (records, stealing, tails) mirrors runChunkAvx with scalar write-backs
 /// widened to panel rows.
 template <class Panel, bool Accumulate>
-CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
-                          const double *X, std::size_t LdX, double *Y,
-                          std::size_t LdY, Panel P, int PfDist,
-                          PanelBoundary &Out) {
+CVR_HOT PanelBoundary runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
+                                   const double *X, std::size_t LdX,
+                                   double *Y, std::size_t LdY, Panel P,
+                                   int PfDist) {
   constexpr int W = 8;
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -208,16 +208,18 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
       continue;
     Finish(Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
   }
+  PanelBoundary Out;
   P.spill(BFirst, Out.First);
   P.spill(BLast, Out.Last);
+  return Out;
 }
 
 /// Generic any-lane-width SpMM chunk (lane-count ablation / forced-generic
 /// matrices). Runtime lane and block widths; not performance-critical.
-void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
-                         const double *X, std::size_t LdX, double *Y,
-                         std::size_t LdY, int Bw, int PfDist,
-                         bool Accumulate, PanelBoundary &Out) {
+PanelBoundary runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
+                                  const double *X, std::size_t LdX, double *Y,
+                                  std::size_t LdY, int Bw, int PfDist,
+                                  bool Accumulate) {
   const int W = M.lanes();
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -286,8 +288,17 @@ void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
     Finish(Row, TRes.data() + static_cast<std::size_t>(K) * Bw,
            Row == C.FirstRow || Row == C.LastRow);
   }
-  Out = BP;
+  return BP;
 }
+
+/// What one chunk of the fused SpMM pass hands back: its per-column
+/// epilogue partials and its boundary panel rows. Built in the kernel's
+/// locals and returned by value, so chunks running side by side never
+/// write a shared cache line; the caller stores each into its slot once.
+struct FusedPanelResult {
+  BatchEpilogueAccum Acc;
+  PanelBoundary Bounds;
+};
 
 /// Fused twin of runChunkSpmm (no accumulate mode: blocked matrices
 /// compose). Exclusive finalize sites spill the register block, apply the
@@ -295,11 +306,13 @@ void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
 /// transformed) values; shared rows collect raw partials for the ordered
 /// merge, and the sequential cleanup pass applies their epilogue.
 template <class Panel>
-CVR_HOT void runChunkSpmmFused(const CvrMatrix &M, const CvrChunk &C,
-                               const double *X, std::size_t LdX, double *Y,
-                               std::size_t LdY, Panel P, int PfDist,
-                               const FusedBatchEpilogue &E, int J0,
-                               BatchEpilogueAccum &Acc, PanelBoundary &Out) {
+CVR_HOT FusedPanelResult runChunkSpmmFused(const CvrMatrix &M,
+                                           const CvrChunk &C, const double *X,
+                                           std::size_t LdX, double *Y,
+                                           std::size_t LdY, Panel P,
+                                           int PfDist,
+                                           const FusedBatchEpilogue &E,
+                                           int J0) {
   constexpr int W = 8;
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -313,6 +326,7 @@ CVR_HOT void runChunkSpmmFused(const CvrMatrix &M, const CvrChunk &C,
     TRes[K] = P.zero();
   }
   typename Panel::Vec BFirst = P.zero(), BLast = P.zero();
+  BatchEpilogueAccum Acc;
 
   auto Finish = [&](std::int32_t Row, typename Panel::Vec V, bool Shared) {
     if (Shared) {
@@ -371,8 +385,11 @@ CVR_HOT void runChunkSpmmFused(const CvrMatrix &M, const CvrChunk &C,
       continue;
     Finish(Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
   }
-  P.spill(BFirst, Out.First);
-  P.spill(BLast, Out.Last);
+  FusedPanelResult Out;
+  Out.Acc = Acc;
+  P.spill(BFirst, Out.Bounds.First);
+  P.spill(BLast, Out.Bounds.Last);
+  return Out;
 }
 
 /// Zeroes the Bw-wide slice of the rows the chunk sweep never plain-stores
@@ -397,20 +414,18 @@ void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
 
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
-    if (!UseAvx) {
-      runChunkSpmmGeneric(M, C, X, LdX, Y, LdY, Bw, PfDist, Accumulate,
-                          Slots[T]);
-      return;
-    }
-    if (Bw == 8)
-      runChunkSpmm<Panel8, Accumulate>(M, C, X, LdX, Y, LdY, Panel8{},
-                                       PfDist, Slots[T]);
+    if (!UseAvx)
+      Slots[T] = runChunkSpmmGeneric(M, C, X, LdX, Y, LdY, Bw, PfDist,
+                                     Accumulate);
+    else if (Bw == 8)
+      Slots[T] = runChunkSpmm<Panel8, Accumulate>(M, C, X, LdX, Y, LdY,
+                                                  Panel8{}, PfDist);
     else if (Bw == 4)
-      runChunkSpmm<Panel4, Accumulate>(M, C, X, LdX, Y, LdY, Panel4{},
-                                       PfDist, Slots[T]);
+      Slots[T] = runChunkSpmm<Panel4, Accumulate>(M, C, X, LdX, Y, LdY,
+                                                  Panel4{}, PfDist);
     else
-      runChunkSpmm<PanelTail, Accumulate>(M, C, X, LdX, Y, LdY,
-                                          PanelTail(Bw), PfDist, Slots[T]);
+      Slots[T] = runChunkSpmm<PanelTail, Accumulate>(M, C, X, LdX, Y, LdY,
+                                                     PanelTail(Bw), PfDist);
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
@@ -581,7 +596,8 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
   const int Threads = std::min(M.runThreads(), std::max(N, 1));
 
   // Per-chunk partial accumulators and boundary panel rows, merged in
-  // chunk index order per pass.
+  // chunk index order per pass. Each chunk kernel returns its own and the
+  // slots take one store per chunk.
   ChunkSlots<BatchEpilogueAccum, MaxStackChunks> Accs(N);
   PanelBoundarySlots Bounds(N);
 
@@ -593,17 +609,16 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
     zeroRowsSlice(M, Yp, LdY, Bw);
 
     auto Body = [&](int T) {
-      Accs[T] = BatchEpilogueAccum{};
       const CvrChunk &C = Chunks[T];
-      if (Bw == 8)
-        runChunkSpmmFused<Panel8>(M, C, Xp, LdX, Yp, LdY, Panel8{}, Pf, E,
-                                  J0, Accs[T], Bounds[T]);
-      else if (Bw == 4)
-        runChunkSpmmFused<Panel4>(M, C, Xp, LdX, Yp, LdY, Panel4{}, Pf, E,
-                                  J0, Accs[T], Bounds[T]);
-      else
-        runChunkSpmmFused<PanelTail>(M, C, Xp, LdX, Yp, LdY, PanelTail(Bw),
-                                     Pf, E, J0, Accs[T], Bounds[T]);
+      FusedPanelResult R =
+          Bw == 8   ? runChunkSpmmFused<Panel8>(M, C, Xp, LdX, Yp, LdY,
+                                                Panel8{}, Pf, E, J0)
+          : Bw == 4 ? runChunkSpmmFused<Panel4>(M, C, Xp, LdX, Yp, LdY,
+                                                Panel4{}, Pf, E, J0)
+                    : runChunkSpmmFused<PanelTail>(M, C, Xp, LdX, Yp, LdY,
+                                                   PanelTail(Bw), Pf, E, J0);
+      Accs[T] = R.Acc;
+      Bounds[T] = R.Bounds;
     };
     if (N > Threads)
       ompParallelForDynamic(N, Threads, Body);

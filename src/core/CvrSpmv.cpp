@@ -178,9 +178,9 @@ CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
 /// — is identical across all four combinations; only the load width
 /// changes.
 template <int PfDist, bool Accumulate, bool NarrowIdx, bool NarrowVal>
-CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
-                         const double *X,
-                 double *Y, std::int32_t ColBase, BoundaryPartials &Out) {
+CVR_HOT BoundaryPartials runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
+                                     const double *X, double *Y,
+                                     std::int32_t ColBase) {
   static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
                                  "column loads, so the distance stays even");
   constexpr int W = 8;
@@ -262,7 +262,7 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
     bool Shared = Row == C.FirstRow || Row == C.LastRow;
     writeBack<Accumulate>(Y, Row, TResult[K], Shared, BP);
   }
-  Out = BP;
+  return BP;
 }
 
 /// Generic any-width kernel (lane-count ablation / non-AVX hosts).
@@ -270,9 +270,9 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
 /// parameters here: this path is not performance-critical. The compressed
 /// streams decode per element — scalar widening of uint16 deltas (plus
 /// the chunk's band base) and fp32 values, with fp64 accumulation.
-void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                     double *Y, int PfDist, bool Accumulate,
-                     BoundaryPartials &Out) {
+BoundaryPartials runChunkGeneric(const CvrMatrix &M, const CvrChunk &C,
+                                 const double *X, double *Y, int PfDist,
+                                 bool Accumulate) {
   const int W = M.lanes();
   const std::int64_t EB = C.ElemBase;
   const std::int32_t Base = M.chunkColBase(
@@ -331,8 +331,18 @@ void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
     bool Shared = Row == C.FirstRow || Row == C.LastRow;
     Store(Row, TResult[K], Shared);
   }
-  Out = BP;
+  return BP;
 }
+
+/// What one chunk of the fused path hands back: its epilogue partials
+/// over the rows it finished, and its boundary-row partials. A chunk kernel
+/// builds both in locals (registers, or its own stack) and returns them by
+/// value, so the only write to a shared slot array is the caller's one
+/// store per chunk after the kernel returns.
+struct FusedChunkResult {
+  EpilogueAccum Acc;
+  BoundaryPartials Bounds;
+};
 
 /// Fused-path record application. Exclusive feed records apply the epilogue
 /// to the lane's finished dot product and store the result; shared feeds
@@ -340,7 +350,9 @@ void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
 /// cvrSpmvFused's sequential cleanup pass, after the ordered merge); steal
 /// records spill to t_result as usual. Scalar spill instead of the
 /// masked-scatter batching: the epilogue is a per-row scalar op anyway, and
-/// records are rare relative to steps.
+/// records are rare relative to steps. The accumulators are copied into a
+/// local for the batch, so the y stores cannot force them back to memory
+/// after every row.
 CVR_HOT inline simd::VecD8 applyRecordsFused(simd::VecD8 VOut,
                                              const CvrRecord *Recs,
                                      std::int64_t &RecIdx,
@@ -351,6 +363,7 @@ CVR_HOT inline simd::VecD8 applyRecordsFused(simd::VecD8 VOut,
                                      BoundaryPartials &BP) {
   alignas(64) double Buf[8];
   VOut.toArray(Buf);
+  EpilogueAccum A = Acc;
   do {
     const CvrRecord &R = Recs[RecIdx];
     int Off = static_cast<int>(R.Pos & 7);
@@ -359,11 +372,12 @@ CVR_HOT inline simd::VecD8 applyRecordsFused(simd::VecD8 VOut,
     } else if (R.Shared) {
       BP.add(R.Wb, Buf[Off]);
     } else {
-      Y[R.Wb] = fusedRowApply(E, X, R.Wb, Buf[Off], Acc);
+      Y[R.Wb] = fusedRowApply(E, X, R.Wb, Buf[Off], A);
     }
     Buf[Off] = 0.0;
     ++RecIdx;
   } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
+  Acc = A;
   return simd::VecD8::fromArray(Buf);
 }
 
@@ -372,10 +386,10 @@ CVR_HOT inline simd::VecD8 applyRecordsFused(simd::VecD8 VOut,
 /// differ. NarrowIdx/NarrowVal mirror runChunkAvx's compressed-stream
 /// loads.
 template <int PfDist, bool NarrowIdx, bool NarrowVal>
-CVR_HOT void runChunkAvxFused(const CvrMatrix &M, const CvrChunk &C,
-                              const double *X,
-                      double *Y, const FusedEpilogue &E, EpilogueAccum &Acc,
-                      std::int32_t ColBase, BoundaryPartials &Out) {
+CVR_HOT FusedChunkResult runChunkAvxFused(const CvrMatrix &M,
+                                          const CvrChunk &C, const double *X,
+                                          double *Y, const FusedEpilogue &E,
+                                          std::int32_t ColBase) {
   static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
                                  "column loads, so the distance stays even");
   constexpr int W = 8;
@@ -389,6 +403,7 @@ CVR_HOT void runChunkAvxFused(const CvrMatrix &M, const CvrChunk &C,
   const std::int64_t RecEnd = C.RecEnd;
 
   alignas(64) double TResult[W] = {0};
+  EpilogueAccum Acc;
   BoundaryPartials BP = BoundaryPartials::of(C);
   simd::VecD8 VOut = simd::VecD8::zero();
   simd::VecI16 Cols16{};
@@ -450,15 +465,14 @@ CVR_HOT void runChunkAvxFused(const CvrMatrix &M, const CvrChunk &C,
     else
       Y[Row] = fusedRowApply(E, X, Row, TResult[K], Acc);
   }
-  Out = BP;
+  return {Acc, BP};
 }
 
 /// Fused twin of runChunkGeneric (any lane width, runtime prefetch, and
 /// runtime stream-kind decode like runChunkGeneric).
-void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
-                          const double *X, double *Y, int PfDist,
-                          const FusedEpilogue &E, EpilogueAccum &Acc,
-                          BoundaryPartials &Out) {
+FusedChunkResult runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
+                                      const double *X, double *Y, int PfDist,
+                                      const FusedEpilogue &E) {
   const int W = M.lanes();
   const std::int64_t EB = C.ElemBase;
   const std::int32_t Base = M.chunkColBase(
@@ -469,6 +483,7 @@ void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
 
   std::vector<double> TResult(W, 0.0);
   std::vector<double> VOut(W, 0.0);
+  EpilogueAccum Acc;
   BoundaryPartials BP = BoundaryPartials::of(C);
 
   auto Finish = [&](std::int32_t Row, double V, bool Shared) {
@@ -516,7 +531,7 @@ void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
       continue;
     Finish(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
   }
-  Out = BP;
+  return {Acc, BP};
 }
 
 /// Band base of \p C, for the narrow-index kernels (0 otherwise).
@@ -526,96 +541,75 @@ std::int32_t chunkBase(const CvrMatrix &M, const CvrChunk &C) {
 
 /// Prefetch-distance dispatch for one fused (kind-resolved) instantiation.
 template <bool NarrowIdx, bool NarrowVal>
-void runChunkAvxFusedPf(const CvrMatrix &M, const CvrChunk &C,
-                        const double *X, double *Y, const FusedEpilogue &E,
-                        EpilogueAccum &Acc, int PfDist, std::int32_t Base,
-                        BoundaryPartials &Out) {
+FusedChunkResult runChunkAvxFusedPf(const CvrMatrix &M, const CvrChunk &C,
+                                    const double *X, double *Y,
+                                    const FusedEpilogue &E, int PfDist,
+                                    std::int32_t Base) {
   switch (PfDist) {
   case 2:
-    runChunkAvxFused<2, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
-    break;
+    return runChunkAvxFused<2, NarrowIdx, NarrowVal>(M, C, X, Y, E, Base);
   case 4:
-    runChunkAvxFused<4, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
-    break;
+    return runChunkAvxFused<4, NarrowIdx, NarrowVal>(M, C, X, Y, E, Base);
   case 8:
-    runChunkAvxFused<8, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
-    break;
+    return runChunkAvxFused<8, NarrowIdx, NarrowVal>(M, C, X, Y, E, Base);
   default:
-    runChunkAvxFused<0, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base, Out);
-    break;
+    return runChunkAvxFused<0, NarrowIdx, NarrowVal>(M, C, X, Y, E, Base);
   }
 }
 
 /// Dispatches one chunk of the fused path.
-void runChunkFused(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   double *Y, const FusedEpilogue &E, EpilogueAccum &Acc,
-                   int PfDist, bool UseAvx, BoundaryPartials &Out) {
-  if (!UseAvx) {
-    runChunkGenericFused(M, C, X, Y, PfDist, E, Acc, Out);
-    return;
-  }
+FusedChunkResult runChunkFused(const CvrMatrix &M, const CvrChunk &C,
+                               const double *X, double *Y,
+                               const FusedEpilogue &E, int PfDist,
+                               bool UseAvx) {
+  if (!UseAvx)
+    return runChunkGenericFused(M, C, X, Y, PfDist, E);
   const std::int32_t Base = chunkBase(M, C);
   const bool NI = M.colIndexKind() == ColIndexKind::U16Band;
   const bool NV = M.valueKind() == ValueKind::F32x64;
-  if (NI) {
-    if (NV)
-      runChunkAvxFusedPf<true, true>(M, C, X, Y, E, Acc, PfDist, Base, Out);
-    else
-      runChunkAvxFusedPf<true, false>(M, C, X, Y, E, Acc, PfDist, Base, Out);
-  } else {
-    if (NV)
-      runChunkAvxFusedPf<false, true>(M, C, X, Y, E, Acc, PfDist, Base, Out);
-    else
-      runChunkAvxFusedPf<false, false>(M, C, X, Y, E, Acc, PfDist, Base,
-                                       Out);
-  }
+  if (NI)
+    return NV ? runChunkAvxFusedPf<true, true>(M, C, X, Y, E, PfDist, Base)
+              : runChunkAvxFusedPf<true, false>(M, C, X, Y, E, PfDist, Base);
+  return NV ? runChunkAvxFusedPf<false, true>(M, C, X, Y, E, PfDist, Base)
+            : runChunkAvxFusedPf<false, false>(M, C, X, Y, E, PfDist, Base);
 }
 
 /// Prefetch-distance dispatch for one unfused (kind-resolved)
 /// instantiation.
 template <bool Accumulate, bool NarrowIdx, bool NarrowVal>
-void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   double *Y, int PfDist, std::int32_t Base,
-                   BoundaryPartials &Out) {
+BoundaryPartials runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C,
+                               const double *X, double *Y, int PfDist,
+                               std::int32_t Base) {
   switch (PfDist) {
   case 2:
-    runChunkAvx<2, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
-    break;
+    return runChunkAvx<2, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
   case 4:
-    runChunkAvx<4, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
-    break;
+    return runChunkAvx<4, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
   case 8:
-    runChunkAvx<8, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
-    break;
+    return runChunkAvx<8, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
   default:
-    runChunkAvx<0, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base, Out);
-    break;
+    return runChunkAvx<0, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
   }
 }
 
 /// Dispatches one chunk to the right kernel instantiation. The prefetch
 /// distance is snapped to the supported set by cvrSpmv.
 template <bool Accumulate>
-void runChunk(const CvrMatrix &M, const CvrChunk &C, const double *X,
-              double *Y, int PfDist, bool UseAvx, BoundaryPartials &Out) {
-  if (!UseAvx) {
-    runChunkGeneric(M, C, X, Y, PfDist, Accumulate, Out);
-    return;
-  }
+BoundaryPartials runChunk(const CvrMatrix &M, const CvrChunk &C,
+                          const double *X, double *Y, int PfDist,
+                          bool UseAvx) {
+  if (!UseAvx)
+    return runChunkGeneric(M, C, X, Y, PfDist, Accumulate);
   const std::int32_t Base = chunkBase(M, C);
   const bool NI = M.colIndexKind() == ColIndexKind::U16Band;
   const bool NV = M.valueKind() == ValueKind::F32x64;
-  if (NI) {
-    if (NV)
-      runChunkAvxPf<Accumulate, true, true>(M, C, X, Y, PfDist, Base, Out);
-    else
-      runChunkAvxPf<Accumulate, true, false>(M, C, X, Y, PfDist, Base, Out);
-  } else {
-    if (NV)
-      runChunkAvxPf<Accumulate, false, true>(M, C, X, Y, PfDist, Base, Out);
-    else
-      runChunkAvxPf<Accumulate, false, false>(M, C, X, Y, PfDist, Base, Out);
-  }
+  if (NI)
+    return NV ? runChunkAvxPf<Accumulate, true, true>(M, C, X, Y, PfDist, Base)
+              : runChunkAvxPf<Accumulate, true, false>(M, C, X, Y, PfDist,
+                                                       Base);
+  return NV ? runChunkAvxPf<Accumulate, false, true>(M, C, X, Y, PfDist, Base)
+            : runChunkAvxPf<Accumulate, false, false>(M, C, X, Y, PfDist,
+                                                      Base);
 }
 
 /// Runs the chunks [Begin, End) across M.runThreads() threads, then merges
@@ -632,10 +626,8 @@ void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
 
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
-    if (Accumulate)
-      runChunk<true>(M, C, X, Y, PfDist, UseAvx, Slots[T]);
-    else
-      runChunk<false>(M, C, X, Y, PfDist, UseAvx, Slots[T]);
+    Slots[T] = Accumulate ? runChunk<true>(M, C, X, Y, PfDist, UseAvx)
+                          : runChunk<false>(M, C, X, Y, PfDist, UseAvx);
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
@@ -746,13 +738,16 @@ void cvrSpmvFused(const CvrMatrix &M, const double *X, double *Y,
 
   // Per-chunk partial accumulators and boundary partials, merged in chunk
   // index order below so the reduction is deterministic however the
-  // chunks were scheduled.
+  // chunks were scheduled. A chunk kernel keeps both in locals and the
+  // slots take one store each when it returns, so no cache line is shared
+  // between chunks while they run.
   ChunkSlots<EpilogueAccum, MaxStackChunks> Accs(N);
   BoundarySlots Bounds(N);
 
   auto Body = [&](int T) {
-    Accs[T] = EpilogueAccum{};
-    runChunkFused(M, Chunks[T], X, Y, E, Accs[T], PfDist, UseAvx, Bounds[T]);
+    FusedChunkResult R = runChunkFused(M, Chunks[T], X, Y, E, PfDist, UseAvx);
+    Accs[T] = R.Acc;
+    Bounds[T] = R.Bounds;
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);

@@ -12,14 +12,24 @@
 // every vector is sized before the loop and the fused epilogue descriptors
 // live on the stack.
 //
+// The vector sweeps the fused paths keep after each SpMV run block-parallel
+// across the default OpenMP team (BlockSweep): fixed-size blocks, each
+// block's reduction partials stored once into a buffer sized before the
+// loop, merged in block order after the join. Their results therefore do
+// not depend on the schedule or on the thread count.
+//
 //===----------------------------------------------------------------------===//
 
 #include "solvers/Solvers.h"
 
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
+#include "parallel/Partition.h"
 #include "support/Annotations.h"
+#include "support/ParallelFor.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -27,6 +37,75 @@
 namespace cvr {
 
 namespace {
+
+/// Block-parallel vector sweep with an ordered reduction. The index range
+/// [0, N) is cut into fixed blocks of Block elements, run across
+/// min(defaultThreadCount(), blocks) threads (a single block runs
+/// inline). sum<K>() adds up the K terms Elem(I) returns for each element:
+/// each block sums its elements in index order and stores its K partials
+/// once into a buffer sized at construction, and after the join the
+/// partials are added in block order. Every grouping depends on N alone,
+/// so the sums are the same bit for bit at any thread count and under any
+/// schedule, and a sweep inside an iteration loop allocates nothing. Elem
+/// must touch only element I of each vector.
+class BlockSweep {
+public:
+  /// Elements per block: 32 KiB of each vector the sweep streams, enough
+  /// work to amortize the fork and enough blocks to spread over the team.
+  static constexpr std::size_t Block = 4096;
+  /// Most sums one sweep reduces.
+  static constexpr int MaxSums = 2;
+
+  explicit BlockSweep(std::size_t N)
+      : N(N), NumBlocks(static_cast<int>((N + Block - 1) / Block)),
+        Threads(std::min(defaultThreadCount(), std::max(NumBlocks, 1))),
+        Partials(static_cast<std::size_t>(NumBlocks) * MaxSums) {}
+
+  template <int K, typename F> std::array<double, K> sum(F &&Elem) {
+    static_assert(K >= 1 && K <= MaxSums, "raise BlockSweep::MaxSums");
+    forEachBlock([&](int B, std::size_t Begin, std::size_t End) {
+      std::array<double, K> Acc{};
+      for (std::size_t I = Begin; I < End; ++I) {
+        std::array<double, K> T = Elem(I);
+        for (int J = 0; J < K; ++J)
+          Acc[J] += T[J];
+      }
+      std::copy(Acc.begin(), Acc.end(),
+                Partials.begin() + static_cast<std::ptrdiff_t>(B) * MaxSums);
+    });
+    std::array<double, K> Total{};
+    for (int B = 0; B < NumBlocks; ++B)
+      for (int J = 0; J < K; ++J)
+        Total[J] += Partials[static_cast<std::size_t>(B) * MaxSums + J];
+    return Total;
+  }
+
+  /// A sweep without sums.
+  template <typename F> void forEach(F &&Elem) {
+    forEachBlock([&](int, std::size_t Begin, std::size_t End) {
+      for (std::size_t I = Begin; I < End; ++I)
+        Elem(I);
+    });
+  }
+
+private:
+  template <typename F> void forEachBlock(F &&Body) {
+    auto Blk = [&](int B) {
+      std::size_t Begin = static_cast<std::size_t>(B) * Block;
+      Body(B, Begin, std::min(Begin + Block, N));
+    };
+    if (Threads > 1)
+      ompParallelFor(NumBlocks, Threads, Blk);
+    else
+      for (int B = 0; B < NumBlocks; ++B)
+        Blk(B);
+  }
+
+  std::size_t N;
+  int NumBlocks;
+  int Threads;
+  std::vector<double> Partials;
+};
 
 CVR_HOT double dot(const std::vector<double> &A,
                    const std::vector<double> &B) {
@@ -152,6 +231,7 @@ SolveResult cgFused(const SpmvKernel &Kernel, const std::vector<double> &B,
     return Res;
   }
 
+  BlockSweep Sweep(N);
   double Beta = 0.0; // beta_k in p_k = r_k + beta_k p_{k-1}.
   double C = 0.0;    // p.q of the previous iteration (free in the sweep).
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
@@ -177,16 +257,16 @@ SolveResult cgFused(const SpmvKernel &Kernel, const std::vector<double> &B,
     // Combined sweep: solution update, in-register residual
     // reconstruction with its exact ||r||^2, direction update into the
     // ping-pong buffer, and next iteration's p.q_prev — one pass.
-    double CNext = 0.0, RR = 0.0;
-    for (std::size_t I = 0; I < N; ++I) {
-      double Pi = P[I];
-      X[I] += Alpha * Pi;
-      double RNew = Pi - Beta * POld[I] - Alpha * Q[I];
-      RR += RNew * RNew;
+    double *Xp = X.data(), *POldp = POld.data();
+    const double *Pp = P.data(), *Qp = Q.data();
+    auto [RR, CNext] = Sweep.sum<2>([&](std::size_t I) {
+      double Pi = Pp[I];
+      Xp[I] += Alpha * Pi;
+      double RNew = Pi - Beta * POldp[I] - Alpha * Qp[I];
       double PNext = RNew + BetaNext * Pi;
-      POld[I] = PNext;
-      CNext += PNext * Q[I];
-    }
+      POldp[I] = PNext;
+      return std::array<double, 2>{RNew * RNew, PNext * Qp[I]};
+    });
     P.swap(POld); // POld now holds p_k, P holds p_{k+1}. No allocation.
     C = CNext;
     Beta = BetaNext;
@@ -300,6 +380,9 @@ SolveResult biCgStabFused(const SpmvKernel &Kernel,
     return Res;
   }
 
+  BlockSweep Sweep(N);
+  double *Xp = X.data(), *Rp = R.data(), *Pp = P.data(), *Sp = S.data();
+  const double *RHatp = RHat.data(), *Vp = V.data(), *Tp = T.data();
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
     Res.Iterations = Iter + 1;
     // v = A p with rhat.v folded in.
@@ -310,11 +393,11 @@ SolveResult biCgStabFused(const SpmvKernel &Kernel,
       break;
     double Alpha = Rho / RHatV;
     // s = r - alpha v, accumulating ||s||^2 in the same pass.
-    double SS = 0.0;
-    for (std::size_t I = 0; I < N; ++I) {
-      S[I] = R[I] - Alpha * V[I];
-      SS += S[I] * S[I];
-    }
+    auto [SS] = Sweep.sum<1>([&](std::size_t I) {
+      double Si = Rp[I] - Alpha * Vp[I];
+      Sp[I] = Si;
+      return std::array<double, 1>{Si * Si};
+    });
     if (std::sqrt(SS) / BNorm < Opts.Tolerance) {
       axpy(Alpha, P, X);
       Res.Residual = std::sqrt(SS) / BNorm;
@@ -329,13 +412,12 @@ SolveResult biCgStabFused(const SpmvKernel &Kernel,
       break;
     double Omega = TS / TT;
     // Solution + residual update, accumulating ||r||^2 and rhat.r.
-    double RR = 0.0, RHatR = 0.0;
-    for (std::size_t I = 0; I < N; ++I) {
-      X[I] += Alpha * P[I] + Omega * S[I];
-      R[I] = S[I] - Omega * T[I];
-      RR += R[I] * R[I];
-      RHatR += RHat[I] * R[I];
-    }
+    auto [RR, RHatR] = Sweep.sum<2>([&](std::size_t I) {
+      Xp[I] += Alpha * Pp[I] + Omega * Sp[I];
+      double Ri = Sp[I] - Omega * Tp[I];
+      Rp[I] = Ri;
+      return std::array<double, 2>{Ri * Ri, RHatp[I] * Ri};
+    });
     Res.Residual = std::sqrt(RR) / BNorm;
     if (Res.Residual < Opts.Tolerance) {
       Res.Converged = true;
@@ -344,8 +426,9 @@ SolveResult biCgStabFused(const SpmvKernel &Kernel,
     if (Omega == 0.0 || Rho == 0.0)
       break;
     double Beta = (RHatR / Rho) * (Alpha / Omega);
-    for (std::size_t I = 0; I < N; ++I)
-      P[I] = R[I] + Beta * (P[I] - Omega * V[I]);
+    Sweep.forEach([&](std::size_t I) {
+      Pp[I] = Rp[I] + Beta * (Pp[I] - Omega * Vp[I]);
+    });
     Rho = RHatR;
   }
   return Res;
@@ -451,6 +534,7 @@ SolveResult powerFused(const SpmvKernel &Kernel, double &Eigenvalue,
   SolveResult Res;
 
   std::vector<double> Next(N);
+  BlockSweep Sweep(N);
   Eigenvalue = 0.0;
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
     Res.Iterations = Iter + 1;
@@ -460,8 +544,9 @@ SolveResult powerFused(const SpmvKernel &Kernel, double &Eigenvalue,
     double NextNorm = std::sqrt(E.Acc2);
     if (NextNorm == 0.0)
       break; // A annihilated the iterate.
-    for (std::size_t I = 0; I < N; ++I)
-      Eigenvector[I] = Next[I] / NextNorm;
+    double *Vp = Eigenvector.data();
+    const double *Np = Next.data();
+    Sweep.forEach([&](std::size_t I) { Vp[I] = Np[I] / NextNorm; });
     Res.Residual = std::fabs(Lambda - Eigenvalue);
     Eigenvalue = Lambda;
     if (Iter > 0 &&
@@ -519,6 +604,7 @@ SolveResult pageRankFused(const SpmvKernel &Kernel,
   std::size_t N = Ranks.size();
   SolveResult Res;
   std::vector<double> Next(N);
+  BlockSweep Sweep(N);
 
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
     Res.Iterations = Iter + 1;
@@ -526,11 +612,13 @@ SolveResult pageRankFused(const SpmvKernel &Kernel,
         Damping, (1.0 - Damping) / static_cast<double>(N));
     Kernel.runFused(Ranks.data(), Next.data(), E);
     double Leak = (1.0 - E.Acc1) / static_cast<double>(N);
-    double Delta = 0.0;
-    for (std::size_t I = 0; I < N; ++I) {
-      Next[I] += Leak;
-      Delta += std::fabs(Next[I] - Ranks[I]);
-    }
+    double *Np = Next.data();
+    const double *Rp = Ranks.data();
+    auto [Delta] = Sweep.sum<1>([&](std::size_t I) {
+      double V = Np[I] + Leak;
+      Np[I] = V;
+      return std::array<double, 1>{std::fabs(V - Rp[I])};
+    });
     Ranks.swap(Next);
     Res.Residual = Delta;
     if (Delta < Opts.Tolerance) {

@@ -10,7 +10,10 @@
 // threads (dynamic scheduling), rows split across several chunks, and
 // column bands that add into rows already holding the previous band's sum.
 // Results are compared with memcmp, which also catches a NaN that a
-// max-difference helper would score as a match.
+// max-difference helper would score as a match. The fused solvers are held
+// to the same standard: their post-SpMV sweeps reduce in fixed blocks
+// merged in block order, so a whole solve reruns bit for bit, at any
+// OpenMP team size.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +22,9 @@
 #include "formats/BatchEpilogue.h"
 #include "formats/FusedEpilogue.h"
 #include "gen/Generators.h"
+#include "matrix/Coo.h"
+#include "parallel/Partition.h"
+#include "solvers/Solvers.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
@@ -27,6 +33,10 @@
 #include <cmath>
 #include <cstring>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace cvr {
 namespace {
@@ -146,6 +156,86 @@ TEST(CvrDeterminism, DenseRowSplitAcrossChunksRerunsBitIdentically) {
   ASSERT_GT(M.numChunks(), M.runThreads());
   expectSpmvDeterministic(A, M);
   expectSpmmDeterministic(A, M);
+}
+
+/// One fused solve's full outcome: the solution bits, the iteration count
+/// and the residual bits.
+struct SolveOutcome {
+  std::vector<double> X;
+  SolveResult R;
+
+  bool sameAs(const SolveOutcome &O) const {
+    return sameBits(X, O.X) && R.Iterations == O.R.Iterations &&
+           R.Converged == O.R.Converged &&
+           std::memcmp(&R.Residual, &O.R.Residual, sizeof(double)) == 0;
+  }
+};
+
+/// Runs \p Solve (which returns a fresh outcome) 20 times at the default
+/// team size and once on a single-thread team; every outcome must carry
+/// the first one's bits.
+template <class Fn> void expectSolveRerunsBitIdentical(const char *What,
+                                                       Fn Solve) {
+  SolveOutcome First = Solve();
+  ASSERT_TRUE(First.R.Converged) << What;
+  ASSERT_TRUE(allFinite(First.X)) << What;
+  for (int Call = 1; Call < 20; ++Call)
+    ASSERT_TRUE(Solve().sameAs(First))
+        << What << ": rerun " << Call << " differs from the first";
+#ifdef _OPENMP
+  const int Team = omp_get_max_threads();
+  omp_set_num_threads(1);
+  SolveOutcome Single = Solve();
+  omp_set_num_threads(Team);
+  EXPECT_TRUE(Single.sameAs(First)) << What << ": one-thread sweeps differ";
+#endif
+}
+
+/// Over-decomposed plan at the full team size: more chunks than threads,
+/// so the SpMV runs under the dynamic schedule.
+CvrOptions overDecomposedPlan() {
+  CvrOptions Opts;
+  Opts.NumThreads = std::max(2, defaultThreadCount());
+  Opts.ChunkMultiplier = 3;
+  return Opts;
+}
+
+TEST(CvrDeterminism, FusedSolversRerunBitIdentically) {
+  // CG on a 90 x 100 Laplacian: 9000 rows, so the sweeps cover several
+  // 4096-element blocks and end on a partial one.
+  {
+    CsrMatrix A = genStencil5(90, 100);
+    CvrKernel K(overDecomposedPlan());
+    K.prepare(A);
+    ASSERT_GT(K.matrix().numChunks(), K.matrix().runThreads());
+    std::vector<double> XStar =
+        test::randomVector(static_cast<std::size_t>(A.numRows()), 404);
+    std::vector<double> B = referenceSpmv(A, XStar);
+    expectSolveRerunsBitIdentical("cg", [&] {
+      SolveOutcome O{std::vector<double>(B.size(), 0.0), {}};
+      O.R = conjugateGradient(K, B, O.X, {1000, 1e-10});
+      return O;
+    });
+  }
+  // PageRank on an R-MAT 13/6 transition matrix.
+  {
+    CsrMatrix G = genRmat(13, 6, 91);
+    CooMatrix Coo(G.numCols(), G.numRows());
+    for (std::int32_t U = 0; U < G.numRows(); ++U)
+      for (std::int64_t I = G.rowPtr()[U]; I < G.rowPtr()[U + 1]; ++I)
+        Coo.add(G.colIdx()[I], U, 1.0 / G.rowLength(U));
+    CsrMatrix T = CsrMatrix::fromCoo(Coo);
+    CvrKernel K(overDecomposedPlan());
+    K.prepare(T);
+    ASSERT_GT(K.matrix().numChunks(), K.matrix().runThreads());
+    expectSolveRerunsBitIdentical("pagerank", [&] {
+      SolveOutcome O{std::vector<double>(
+                         static_cast<std::size_t>(T.numRows()), 0.0),
+                     {}};
+      O.R = pageRank(K, O.X, 0.85, {500, 1e-10});
+      return O;
+    });
+  }
 }
 
 } // namespace

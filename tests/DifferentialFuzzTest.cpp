@@ -463,13 +463,32 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
               << Where << " pf " << Pf;
         }
 
-        // Fused path (blocked matrices compose internally).
+        // Fused path (blocked matrices compose internally). x.y gathers x
+        // at output rows, so it is requested only on square matrices; z.y
+        // runs on every shape. The accumulators are checked against scalar
+        // dots over the y the call returned, which differ from them only
+        // by reassociation.
+        const bool Square = A.numRows() == A.numCols();
         std::vector<double> Z =
             randomVector(static_cast<std::size_t>(A.numRows()), Seed ^ 0x33);
-        FusedEpilogue E = FusedEpilogue::dot(true, false, Z.data());
+        FusedEpilogue E = FusedEpilogue::dot(Square, false, Z.data());
         std::vector<double> YF(static_cast<std::size_t>(A.numRows()), 0.5);
         cvrSpmvFused(*M, X.data(), YF.data(), E);
         EXPECT_LE(maxRelDiff(Expected, YF), kindTolerance(VK)) << Where;
+        double ZY = 0.0, ZYAbs = 0.0, XY = 0.0, XYAbs = 0.0;
+        for (std::size_t I = 0; I < YF.size(); ++I) {
+          ZY += Z[I] * YF[I];
+          ZYAbs += std::fabs(Z[I] * YF[I]);
+          if (Square) {
+            XY += X[I] * YF[I];
+            XYAbs += std::fabs(X[I] * YF[I]);
+          }
+        }
+        EXPECT_NEAR(E.Acc3, ZY, 1e-12 * ZYAbs) << Where;
+        if (Square)
+          EXPECT_NEAR(E.Acc1, XY, 1e-12 * XYAbs) << Where;
+        else
+          EXPECT_EQ(E.Acc1, 0.0) << Where;
 
         // Serialization: both layouts round-trip the compressed streams.
         std::ostringstream OS;

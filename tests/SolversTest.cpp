@@ -648,12 +648,31 @@ void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+// The nothrow forms too (libstdc++'s std::stable_sort buffer uses them):
+// left to the runtime, they would allocate with its operator new and free
+// through the replacement above, which ASan reports as a mismatch.
+void *operator new(std::size_t Sz, const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  GAllocBytes.fetch_add(Sz, std::memory_order_relaxed);
+  return std::malloc(Sz ? Sz : 1);
+}
+void *operator new[](std::size_t Sz, const std::nothrow_t &T) noexcept {
+  return ::operator new(Sz, T);
+}
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 namespace cvr {
 namespace {
 
 std::size_t allocationsForBudget(bool Fused, int Iterations) {
-  const std::int32_t N = 64;
+  // Long enough that the fused solvers' vector sweeps split into several
+  // blocks (4096 elements each) and run across the OpenMP team.
+  const std::int32_t N = 20000;
   CooMatrix Coo(N, N);
   for (std::int32_t I = 0; I < N; ++I)
     Coo.add(I, I, 2.0);
